@@ -1,14 +1,13 @@
-//! Serving-path throughput: batch arena classification vs the per-tuple
-//! recursive reference.
+//! Serving-path throughput: one `classify_batch` call over a slice vs one
+//! single-tuple call per tuple.
 //!
-//! Both sides classify the same tuples through the same tree and produce
-//! bit-for-bit identical distributions (asserted by the regression tests
-//! in `udt-tree`); the difference is purely mechanical. The single-tuple
-//! path allocates its override table, accumulator and restricted-pdf
-//! clones per call, while `classify_batch` reuses a [`BatchScratch`]
-//! arena across tuples and skips pdf materialisation on one-sided splits.
-//! `scripts/bench.sh` writes these measurements to `BENCH_classify.json`
-//! and prints the batch-vs-single speedups.
+//! Both sides run the same arena walk and produce bit-for-bit identical
+//! distributions; the single-tuple path
+//! (`DecisionTree::predict_distribution`, a one-element batch) pays a
+//! fresh [`BatchScratch`] and result vector per call, while the batch
+//! reuses one scratch across tuples. `scripts/bench.sh` writes these
+//! measurements to `BENCH_classify.json` and prints the batch-vs-single
+//! speedups.
 
 use std::time::Duration;
 

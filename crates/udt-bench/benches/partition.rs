@@ -1,31 +1,26 @@
-//! Partition-traffic bench: owned column copies vs zero-copy root views.
+//! Partition-traffic bench: zero-copy root views.
 //!
-//! Both partition modes build bit-identical trees (asserted by the
-//! `partition_view_regression` tests); what differs is the data moved
-//! per recursion level — an owned child column copies the full
-//! `(position, tuple, mass)` triple (20 bytes/event) while a view child
-//! carries only surviving root event ids (4 bytes/event) plus sparse
-//! scale factors. This bench builds the same UDT-ES tree depth-capped at
-//! 4, 8 and 12 in each mode, records wall-clock per build, and annotates
-//! each measurement with the total bytes the partition layer allocated
-//! (`throughput_bytes` in the JSON written by `scripts/bench.sh` →
-//! `BENCH_partition.json`). The deeper the tree, the more often every
-//! root event is re-partitioned and the wider the gap.
+//! A child column carries only the surviving root event ids (4
+//! bytes/event) plus sparse scale factors. This bench builds the same
+//! UDT-ES tree depth-capped at 4, 8 and 12, records wall-clock per
+//! build, and annotates each measurement with the total bytes the
+//! partition layer allocated (`throughput_bytes` in the JSON written by
+//! `scripts/bench.sh` → `BENCH_partition.json`). The deeper the tree,
+//! the more often every root event is re-partitioned.
 
 use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use udt_bench::{point_dataset, uncertain};
-use udt_tree::{Algorithm, PartitionMode, TreeBuilder, UdtConfig};
+use udt_tree::{Algorithm, TreeBuilder, UdtConfig};
 
-fn config(depth: usize, mode: PartitionMode) -> UdtConfig {
+fn config(depth: usize) -> UdtConfig {
     UdtConfig::new(Algorithm::UdtEs)
         .with_postprune(false)
         .with_max_depth(depth)
         // Let nodes split down to single tuples so the depth cap, not
         // the weight floor, decides how deep the partition cascade runs.
         .with_min_node_weight(0.5)
-        .with_partition_mode(mode)
 }
 
 fn bench_partition_traffic(c: &mut Criterion) {
@@ -36,16 +31,14 @@ fn bench_partition_traffic(c: &mut Criterion) {
         .warm_up_time(Duration::from_millis(300))
         .measurement_time(Duration::from_secs(2));
     for &depth in &[4usize, 8, 12] {
-        for mode in [PartitionMode::Owned, PartitionMode::View] {
-            let builder = TreeBuilder::new(config(depth, mode));
-            // One instrumented build up front: the partition byte count
-            // is deterministic, so it annotates every timed iteration.
-            let report = builder.build(&data).expect("build succeeds");
-            group.throughput(Throughput::Bytes(report.stats.partition_bytes));
-            group.bench_function(&format!("depth{depth:02}_{}", mode.name()), |b| {
-                b.iter(|| builder.build(&data).expect("build succeeds"));
-            });
-        }
+        let builder = TreeBuilder::new(config(depth));
+        // One instrumented build up front: the partition byte count is
+        // deterministic, so it annotates every timed iteration.
+        let report = builder.build(&data).expect("build succeeds");
+        group.throughput(Throughput::Bytes(report.stats.partition_bytes));
+        group.bench_function(&format!("depth{depth:02}_view"), |b| {
+            b.iter(|| builder.build(&data).expect("build succeeds"));
+        });
     }
     group.finish();
 }

@@ -24,7 +24,7 @@ use udt_tree::baseline::{
 use udt_tree::columns::{self, Scratch};
 use udt_tree::fractional::FractionalTuple;
 use udt_tree::split::{es, exhaustive::ExhaustiveSearch, SearchStats, SplitSearch};
-use udt_tree::{Algorithm, CountsRepr, KernelKind, Measure, ScoreProfile, TreeBuilder, UdtConfig};
+use udt_tree::{Algorithm, KernelKind, Measure, TreeBuilder, UdtConfig};
 
 fn bench_split_algorithms(c: &mut Criterion) {
     let data = baseline_workload(40);
@@ -150,49 +150,30 @@ fn bench_node_search_step(c: &mut Criterion) {
             es::search().find_best(&events, Measure::Entropy, &mut stats)
         });
     });
-    // The same node step through the non-default score profiles: the
-    // simd kernel batch-scores candidates (and, with f32 counts, halves
-    // the cumulative-matrix traffic); construction builds the matrices
-    // in the requested representation from the start.
-    for (label, profile) in [
-        (
-            "es_columnar_simd",
-            ScoreProfile {
-                kernel: KernelKind::Simd,
-                counts: CountsRepr::F64,
-            },
-        ),
-        (
-            "es_columnar_simd_f32",
-            ScoreProfile {
-                kernel: KernelKind::Simd,
-                counts: CountsRepr::F32,
-            },
-        ),
-    ] {
-        group.bench_function(label, |b| {
-            b.iter(|| {
-                let events: Vec<(usize, udt_tree::events::AttributeEvents)> = root_state
-                    .columns
-                    .iter()
-                    .zip(&root.columns)
-                    .filter_map(|(col, root_col)| {
-                        columns::events_from_column_with(
-                            col,
-                            root_col,
-                            &labels,
-                            n_classes,
-                            &mut scratch,
-                            profile,
-                        )
-                        .map(|e| (root_col.attribute, e))
-                    })
-                    .collect();
-                let mut stats = SearchStats::default();
-                es::search().find_best(&events, Measure::Entropy, &mut stats)
-            });
+    // The same node step scored by the scalar oracle instead of the
+    // production batch kernel.
+    group.bench_function("es_columnar_scalar", |b| {
+        b.iter(|| {
+            let events: Vec<(usize, udt_tree::events::AttributeEvents)> = root_state
+                .columns
+                .iter()
+                .zip(&root.columns)
+                .filter_map(|(col, root_col)| {
+                    columns::events_from_column_with(
+                        col,
+                        root_col,
+                        &labels,
+                        n_classes,
+                        &mut scratch,
+                        KernelKind::Scalar,
+                    )
+                    .map(|e| (root_col.attribute, e))
+                })
+                .collect();
+            let mut stats = SearchStats::default();
+            es::search().find_best(&events, Measure::Entropy, &mut stats)
         });
-    }
+    });
     group.bench_function("exhaustive_naive_rebuild", |b| {
         b.iter(|| {
             let events: Vec<(usize, NaiveAttributeEvents)> = numerical
@@ -222,9 +203,8 @@ fn bench_node_search_step(c: &mut Criterion) {
 
 /// The raw score-kernel axis: pure batch candidate scoring (no event
 /// construction, no search bookkeeping) over prebuilt root matrices,
-/// one bench per kernel × count-representation combination, reported as
-/// candidates per second. This isolates the vectorized inner loop the
-/// `UDT_KERNEL` / `UDT_COUNTS` knobs select.
+/// scalar oracle vs production batch kernel, reported as candidates per
+/// second. This isolates the vectorized inner loop.
 fn bench_score_kernel(c: &mut Criterion) {
     let data = baseline_workload(100);
     let tuples: Vec<FractionalTuple> = data
@@ -244,16 +224,9 @@ fn bench_score_kernel(c: &mut Criterion) {
         .warm_up_time(Duration::from_millis(500))
         .measurement_time(Duration::from_secs(2))
         .throughput(criterion::Throughput::Elements(candidates));
-    for (label, kernel, counts) in [
-        ("scalar_f64", KernelKind::Scalar, CountsRepr::F64),
-        ("scalar_f32", KernelKind::Scalar, CountsRepr::F32),
-        ("simd_f64", KernelKind::Simd, CountsRepr::F64),
-        ("simd_f32", KernelKind::Simd, CountsRepr::F32),
-    ] {
-        let events: Vec<udt_tree::events::AttributeEvents> = base
-            .iter()
-            .map(|ev| ev.clone().with_profile(ScoreProfile { kernel, counts }))
-            .collect();
+    for (label, kernel) in [("scalar", KernelKind::Scalar), ("simd", KernelKind::Simd)] {
+        let events: Vec<udt_tree::events::AttributeEvents> =
+            base.iter().map(|ev| ev.clone().scored_by(kernel)).collect();
         group.bench_function(label, |b| {
             let mut scores = Vec::new();
             b.iter(|| {

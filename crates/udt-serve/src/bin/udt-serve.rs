@@ -8,8 +8,7 @@
 //!           [--idle-timeout-ms MS] [--write-timeout-ms MS]
 //!           [--faults SPEC] [--fault-seed N]
 //!           [--model NAME=PATH]... [--preload NAME=PATH]...
-//!           [--train-toy NAME]
-//!           [--partition-mode owned|view] [--threads auto|N]
+//!           [--train-toy NAME] [--threads auto|N]
 //! ```
 //!
 //! Loads every `--model` file into the registry (refusing to start on a
@@ -42,7 +41,7 @@ fn main() -> ExitCode {
              [--drain-deadline-ms MS] [--max-connections N] [--idle-timeout-ms MS] \
              [--write-timeout-ms MS] [--faults SPEC] [--fault-seed N] \
              [--model NAME=PATH]... [--preload NAME=PATH]... \
-             [--train-toy NAME] [--partition-mode owned|view] [--threads auto|N]"
+             [--train-toy NAME] [--threads auto|N]"
         );
         return ExitCode::SUCCESS;
     }
@@ -119,17 +118,12 @@ fn main() -> ExitCode {
             UdtConfig::new(Algorithm::UdtEs)
                 .with_postprune(false)
                 .with_min_node_weight(0.0)
-                .with_partition_mode(config.partition_mode)
                 .with_threads(config.threads),
         )
         .build(&data);
         match built {
             Ok(report) => match registry.insert_tree(name, report.tree) {
-                Ok(info) => eprintln!(
-                    "udt-serve: trained toy model {name} ({} nodes, partition mode {})",
-                    info.nodes,
-                    config.partition_mode.name()
-                ),
+                Ok(info) => eprintln!("udt-serve: trained toy model {name} ({} nodes)", info.nodes),
                 Err(e) => {
                     eprintln!("udt-serve: could not register toy model {name}: {e}");
                     return ExitCode::FAILURE;

@@ -264,6 +264,37 @@ fn garbage_lines_get_error_responses_and_the_connection_survives() {
 }
 
 #[test]
+fn a_deeply_nested_line_gets_bad_request_instead_of_aborting_the_server() {
+    let (addr, handle) = start_server(vec![("toy", trained(Algorithm::UdtEs))]);
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+    let mut line = String::new();
+
+    // ~20 KB of brackets: enough to overflow a connection thread's stack
+    // in a recursive parser without a depth cap.
+    let depth = 10_000;
+    let hostile = format!(
+        "{{\"cmd\":\"stats\",\"x\":{}{}}}\n",
+        "[".repeat(depth),
+        "]".repeat(depth)
+    );
+    stream.write_all(hostile.as_bytes()).expect("write");
+    reader.read_line(&mut line).expect("read");
+    assert!(line.contains("\"ok\":false"), "got: {line}");
+    assert!(line.contains("bad_request"), "got: {line}");
+
+    // The connection and the server survive.
+    line.clear();
+    stream.write_all(b"{\"cmd\":\"stats\"}\n").expect("write");
+    reader.read_line(&mut line).expect("read");
+    assert!(line.contains("\"ok\":true"), "got: {line}");
+
+    let mut client = Client::connect(addr).expect("connect");
+    client.shutdown().expect("shutdown");
+    handle.join().expect("server thread");
+}
+
+#[test]
 fn shutdown_is_clean_even_with_other_connections_open() {
     let (addr, handle) = start_server(vec![("toy", trained(Algorithm::UdtEs))]);
 

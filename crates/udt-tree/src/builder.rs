@@ -13,10 +13,10 @@
 //! The hot path is columnar: every numerical attribute's events are
 //! sorted **once at the root** (see [`crate::columns`]) into immutable
 //! root columns, and recursion only narrows event-id views over them —
-//! stable, linear, no re-sorting, and (in the default
-//! [`crate::config::PartitionMode::View`]) no mass copying — while
-//! candidate scoring runs over borrowed cumulative rows with zero
-//! per-candidate allocations (see [`crate::events`]).
+//! stable, linear, no re-sorting and no mass copying — while candidate
+//! batches are scored by the production batch kernel over borrowed
+//! cumulative rows with zero per-candidate allocations (see
+//! [`crate::events`] and [`crate::kernel`]).
 //!
 //! ## The build pipeline on the persistent pool
 //!
@@ -34,17 +34,16 @@
 //! top of the tree sequentially and **defers** every subtree whose root
 //! lies at `parallel_cutoff_depth` or deeper (and is large enough per
 //! `parallel_min_fork_tuples`) onto a work queue; the deferred
-//! [`NodeTuples`] states are independent and `Send` (in view mode they
-//! are just event-id lists and scale factors over the shared immutable
-//! root columns), so pool workers drain the queue, each building its
+//! [`NodeTuples`] states are independent and `Send` (they are just
+//! event-id lists and scale factors over the shared immutable root
+//! columns), so pool workers drain the queue, each building its
 //! subtree into a private arena fragment with a thread-cached
 //! [`Scratch`]. Fragments are grafted back in deterministic (queue)
 //! order and the arena is renumbered to canonical preorder, which makes
 //! the result **bit-for-bit identical** to a sequential build at any
 //! thread count — the regression tests assert full `FlatTree` equality
-//! across thread counts, fork depths and partition modes. At one thread
-//! the same queue is drained inline, so the machinery is exercised by
-//! every test run.
+//! across thread counts and fork depths. At one thread the same queue is
+//! drained inline, so the machinery is exercised by every test run.
 
 use std::collections::HashSet;
 use std::path::PathBuf;
@@ -62,7 +61,7 @@ use crate::counts::ClassCounts;
 use crate::events::AttributeEvents;
 use crate::flat::FlatTree;
 use crate::fractional::FractionalTuple;
-use crate::kernel::ScoreProfile;
+use crate::kernel::KernelKind;
 use crate::measure::Measure;
 use crate::node::DecisionTree;
 use crate::pool::{self, WorkerPool};
@@ -279,8 +278,7 @@ impl TreeBuilder {
         // The single O(E log E) presorting pass, fanned out across
         // attributes on the pool; the root columns are immutable from
         // here on and recursion below never sorts again — child nodes
-        // reference them through event-id views (or copy them, in the
-        // owned A/B mode).
+        // reference them through event-id views.
         let presort_span = trace::span("presort", "phase");
         let presort_started = Instant::now();
         let root_columns = columns::build_root_with(&tuples, &numerical, &build_pool);
@@ -292,7 +290,7 @@ impl TreeBuilder {
             root: &root_columns,
             n_classes: training.n_classes(),
             measure: self.config.measure,
-            profile: self.config.profile(),
+            kernel: self.config.profile(),
             search: search.as_ref(),
             numerical: &numerical,
             categorical: &categorical,
@@ -477,10 +475,9 @@ struct BuildContext<'a> {
     root: &'a RootColumns,
     n_classes: usize,
     measure: Measure,
-    /// Score-kernel selection ([`UdtConfig::profile`]): which kernel
-    /// scores candidate batches and which count representation the
-    /// per-node [`AttributeEvents`] matrices use.
-    profile: ScoreProfile,
+    /// The kernel that scores the per-node [`AttributeEvents`]
+    /// candidate batches ([`UdtConfig::profile`]).
+    kernel: KernelKind,
     search: &'a dyn SplitSearch,
     numerical: &'a [usize],
     categorical: &'a [(usize, usize)],
@@ -753,7 +750,7 @@ impl BuildContext<'_> {
                                     self.labels,
                                     self.n_classes,
                                     worker_scratch,
-                                    self.profile,
+                                    self.kernel,
                                 )
                             })
                             .collect();
@@ -780,7 +777,7 @@ impl BuildContext<'_> {
                     self.labels,
                     self.n_classes,
                     scratch,
-                    self.profile,
+                    self.kernel,
                 )
                 .map(|e| (root_col.attribute, e))
             })
@@ -967,9 +964,7 @@ mod tests {
     fn parallel_subtree_build_is_bit_identical_to_sequential() {
         // The tentpole regression: the work-queue build (with forced-low
         // fork thresholds so real jobs are created) must produce the same
-        // arena, bit for bit, as the plain sequential recursion — under
-        // both feature modes, since the queue is drained inline without
-        // `parallel`.
+        // arena, bit for bit, as the plain sequential recursion.
         use udt_data::synthetic::SyntheticSpec;
         use udt_data::uncertainty::{inject_uncertainty, UncertaintySpec};
         let mut spec = SyntheticSpec::small(33);

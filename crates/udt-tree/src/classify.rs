@@ -10,26 +10,23 @@
 //! accumulated weight is multiplied into the leaf's class distribution.
 //! The per-class sums over all leaves form the final distribution `P(c)`.
 //!
-//! ## The three engines
+//! ## One engine and its oracle
 //!
-//! * [`predict_distribution`] — the single-tuple reference path: a
-//!   recursive walk over the arena that allocates its override table and
-//!   accumulator per call and always materialises restricted pdfs through
-//!   [`SampledPdf::split_at`]. Bit-for-bit identical to the pre-arena
-//!   boxed recursion (kept as [`predict_distribution_node`]).
-//! * [`classify_batch`] — the serving engine: an explicit-stack walk over
-//!   the arena for a whole slice of tuples that reuses every per-tuple
-//!   buffer (frame stack, pdf-override delta chain, accumulator) in a
-//!   [`BatchScratch`] arena, and skips pdf materialisation entirely when a
-//!   split is one-sided (`p_L` snaps to exactly `0.0` or `1.0`, and
-//!   `split_at` would have returned an unmodified clone — so reusing the
-//!   current pdf reference is bit-for-bit exact). Traversal order is the
-//!   same depth-first left-to-right order as the recursion, so the
-//!   floating-point accumulation is identical to the last ulp; the
-//!   regression tests in this module and in `tests/batch_regression.rs`
-//!   lock that in with `to_bits` equality.
-//! * [`predict_distribution_node`] — the pre-arena boxed recursion,
-//!   retained as the regression reference for both paths above.
+//! * [`classify_batch`] — the engine: an explicit-stack walk over the
+//!   arena for a whole slice of tuples that reuses every per-tuple buffer
+//!   (frame stack, pdf-override delta chain, accumulator) in a
+//!   [`BatchScratch`] arena, and skips pdf materialisation entirely when
+//!   a split is one-sided (`p_L` snaps to exactly `0.0` or `1.0`, and
+//!   [`SampledPdf::split_at`] would have returned an unmodified clone —
+//!   so reusing the current pdf reference is bit-for-bit exact).
+//!   [`predict_distribution`] is a one-element batch.
+//! * [`predict_distribution_node`] — the pre-arena boxed recursion, which
+//!   always materialises restricted pdfs through `split_at`. It is the
+//!   bit-for-bit oracle: the batch walk visits nodes in the same
+//!   depth-first left-to-right order, so the floating-point accumulation
+//!   is identical to the last ulp, and the regression tests in this
+//!   module and in `tests/batch_regression.rs` lock that in with
+//!   `to_bits` equality.
 
 use udt_data::Tuple;
 use udt_prob::pdf::MASS_EPSILON;
@@ -50,24 +47,8 @@ pub fn argmax_class(dist: &[f64]) -> usize {
         .unwrap_or(0)
 }
 
-/// Shared epilogue: normalises the accumulated per-leaf mass, falling
-/// back to the uniform distribution when (numerically) no mass reached
-/// any leaf.
-fn normalise(mut acc: Vec<f64>) -> Vec<f64> {
-    let total: f64 = acc.iter().sum();
-    if total > WEIGHT_EPSILON {
-        for p in &mut acc {
-            *p /= total;
-        }
-    } else {
-        let n = acc.len().max(1);
-        acc = vec![1.0 / n as f64; acc.len()];
-    }
-    acc
-}
-
 /// Classifies `tuple` with `tree`, returning the probability distribution
-/// over class labels.
+/// over class labels — a one-element [`classify_batch`].
 ///
 /// Tuples whose arity does not match the tree are classified using the
 /// overlapping attributes only (missing attributes send the whole weight
@@ -81,127 +62,11 @@ fn normalise(mut acc: Vec<f64>) -> Vec<f64> {
 /// previously this case silently produced an empty "uniform" vector
 /// (`vec![1.0 / n; 0]`), masking construction bugs.
 pub fn predict_distribution(tree: &DecisionTree, tuple: &Tuple) -> Result<Vec<f64>> {
-    if tree.n_classes() == 0 {
-        return Err(TreeError::NoClasses);
-    }
-    let mut acc = vec![0.0; tree.n_classes()];
-    // Working copies of the numerical pdfs that get restricted on the way
-    // down; `None` means "use the tuple's original value".
-    let mut overrides: Vec<Option<SampledPdf>> = vec![None; tuple.arity()];
-    descend_flat(
-        tree.flat(),
-        FlatTree::ROOT,
-        tuple,
-        &mut overrides,
-        1.0,
-        &mut acc,
-    );
-    Ok(normalise(acc))
-}
-
-fn descend_flat(
-    flat: &FlatTree,
-    node: usize,
-    tuple: &Tuple,
-    overrides: &mut Vec<Option<SampledPdf>>,
-    weight: f64,
-    acc: &mut [f64],
-) {
-    if weight <= WEIGHT_EPSILON {
-        return;
-    }
-    match flat.kind(node) {
-        NodeKind::Leaf => {
-            for (c, p) in flat.distribution_of(node).iter().enumerate() {
-                acc[c] += weight * p;
-            }
-        }
-        NodeKind::Split => {
-            let attribute = flat.attribute(node);
-            let split = flat.split_point(node);
-            let left = flat.child(node, 0);
-            let right = flat.child(node, 1);
-            let pdf = if attribute < tuple.arity() {
-                overrides[attribute]
-                    .clone()
-                    .or_else(|| tuple.value(attribute).as_numeric().cloned())
-            } else {
-                None
-            };
-            let Some(pdf) = pdf else {
-                // Missing or non-numeric attribute: distribute the weight
-                // according to the training mass that went each way.
-                let left_w = flat.total_of(left);
-                let right_w = flat.total_of(right);
-                let denom = (left_w + right_w)
-                    .max(flat.total_of(node))
-                    .max(WEIGHT_EPSILON);
-                descend_flat(flat, left, tuple, overrides, weight * left_w / denom, acc);
-                descend_flat(flat, right, tuple, overrides, weight * right_w / denom, acc);
-                return;
-            };
-            let (p_left, left_pdf, right_pdf) = pdf.split_at(split);
-            if p_left > WEIGHT_EPSILON {
-                let saved = overrides[attribute].take();
-                overrides[attribute] = left_pdf;
-                descend_flat(flat, left, tuple, overrides, weight * p_left, acc);
-                overrides[attribute] = saved;
-            }
-            let p_right = 1.0 - p_left;
-            if p_right > WEIGHT_EPSILON {
-                let saved = overrides[attribute].take();
-                overrides[attribute] = right_pdf;
-                descend_flat(flat, right, tuple, overrides, weight * p_right, acc);
-                overrides[attribute] = saved;
-            }
-        }
-        NodeKind::CategoricalSplit => {
-            let attribute = flat.attribute(node);
-            let children = flat.children_of(node);
-            let dist = if attribute < tuple.arity() {
-                tuple.value(attribute).as_categorical()
-            } else {
-                None
-            };
-            match dist {
-                Some(d) => {
-                    for (v, &child) in children.iter().enumerate() {
-                        let p = d.prob(v);
-                        if p > WEIGHT_EPSILON {
-                            descend_flat(flat, child as usize, tuple, overrides, weight * p, acc);
-                        }
-                    }
-                }
-                None => {
-                    // Missing categorical value: weight children by their
-                    // training mass.
-                    let total: f64 = children
-                        .iter()
-                        .map(|&c| flat.total_of(c as usize))
-                        .sum::<f64>()
-                        .max(flat.total_of(node))
-                        .max(WEIGHT_EPSILON);
-                    for &child in children {
-                        let share = flat.total_of(child as usize) / total;
-                        if share > WEIGHT_EPSILON {
-                            descend_flat(
-                                flat,
-                                child as usize,
-                                tuple,
-                                overrides,
-                                weight * share,
-                                acc,
-                            );
-                        }
-                    }
-                }
-            }
-        }
-    }
+    classify_batch(tree, std::slice::from_ref(tuple), &mut BatchScratch::new())
 }
 
 /// The pre-arena recursive classification over boxed [`Node`]s, retained
-/// as the bit-for-bit regression reference for the arena paths.
+/// as the bit-for-bit regression reference for [`classify_batch`].
 ///
 /// # Errors
 ///
@@ -214,7 +79,15 @@ pub fn predict_distribution_node(root: &Node, n_classes: usize, tuple: &Tuple) -
     let mut acc = vec![0.0; n_classes];
     let mut overrides: Vec<Option<SampledPdf>> = vec![None; tuple.arity()];
     descend_node(root, tuple, &mut overrides, 1.0, &mut acc);
-    Ok(normalise(acc))
+    let total: f64 = acc.iter().sum();
+    if total > WEIGHT_EPSILON {
+        for p in &mut acc {
+            *p /= total;
+        }
+    } else {
+        acc = vec![1.0 / n_classes as f64; n_classes];
+    }
+    Ok(acc)
 }
 
 fn descend_node(
@@ -401,11 +274,11 @@ enum SplitStep {
 /// Classifies every tuple of `tuples` with `tree`, returning the class
 /// distributions as one row-major matrix (`tuples.len() × n_classes`).
 ///
-/// This is the serving path: an explicit-stack arena walk whose per-tuple
-/// buffers live in `scratch` and are reused across tuples and calls. The
-/// produced distributions are **bit-for-bit identical** to calling
-/// [`predict_distribution`] per tuple — traversal order, epsilon gates
-/// and every floating-point operation match the recursive path; the
+/// This is the only production classifier: an explicit-stack arena walk
+/// whose per-tuple buffers live in `scratch` and are reused across tuples
+/// and calls. The produced distributions are **bit-for-bit identical** to
+/// the boxed recursion [`predict_distribution_node`] — traversal order,
+/// epsilon gates and every floating-point operation match it; the
 /// one-sided fast path only skips clones that cannot change any bit.
 ///
 /// # Errors
@@ -756,11 +629,13 @@ mod tests {
             udt_data::Tuple::from_points(&[0.5], 0),
             udt_data::Tuple::new(vec![], 0),
         ];
-        for t in &tuples {
-            let flat_dist = predict_distribution(&tree, t).unwrap();
+        let mut scratch = BatchScratch::new();
+        let batch = classify_batch(&tree, &tuples, &mut scratch).unwrap();
+        for (i, t) in tuples.iter().enumerate() {
             let boxed_dist = predict_distribution_node(&root, tree.n_classes(), t).unwrap();
-            for (a, b) in flat_dist.iter().zip(&boxed_dist) {
-                assert_eq!(a.to_bits(), b.to_bits());
+            let row = &batch[i * tree.n_classes()..(i + 1) * tree.n_classes()];
+            for (a, b) in row.iter().zip(&boxed_dist) {
+                assert_eq!(a.to_bits(), b.to_bits(), "tuple {i}");
             }
         }
     }

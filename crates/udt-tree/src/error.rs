@@ -31,39 +31,12 @@ pub enum TreeError {
         reason: &'static str,
     },
 
-    /// A textual partition-mode value was neither `owned` nor `view`
-    /// (see [`crate::PartitionMode`]'s `FromStr` impl). Carries the
-    /// offending input, which the f64-shaped [`TreeError::InvalidConfig`]
-    /// could not.
-    #[error("invalid partition mode `{got}`: expected 'owned' or 'view'")]
-    InvalidPartitionMode {
-        /// The string that failed to parse.
-        got: String,
-    },
-
     /// A textual thread-count value was neither `auto` nor a positive
     /// integer (see [`crate::ThreadCount`]'s `FromStr` impl). Carries
-    /// the offending input, like [`TreeError::InvalidPartitionMode`].
+    /// the offending input, which the f64-shaped
+    /// [`TreeError::InvalidConfig`] could not.
     #[error("invalid thread count `{got}`: expected 'auto' or an integer >= 1")]
     InvalidThreadCount {
-        /// The string that failed to parse.
-        got: String,
-    },
-
-    /// A textual score-kernel value was neither `scalar` nor `simd`
-    /// (see [`crate::KernelKind`]'s `FromStr` impl). Carries the
-    /// offending input, like [`TreeError::InvalidPartitionMode`].
-    #[error("invalid score kernel `{got}`: expected 'scalar' or 'simd'")]
-    InvalidKernelKind {
-        /// The string that failed to parse.
-        got: String,
-    },
-
-    /// A textual count-matrix representation was neither `f64` nor `f32`
-    /// (see [`crate::CountsRepr`]'s `FromStr` impl). Carries the
-    /// offending input, like [`TreeError::InvalidPartitionMode`].
-    #[error("invalid counts representation `{got}`: expected 'f64' or 'f32'")]
-    InvalidCountsRepr {
         /// The string that failed to parse.
         got: String,
     },

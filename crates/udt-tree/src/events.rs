@@ -21,10 +21,17 @@
 //! boundaries of §5.1) and the disjoint intervals they induce, each
 //! classified as empty, homogeneous or heterogeneous (Definitions 2–4),
 //! which is all the pruning algorithms need.
+//!
+//! Candidate batches are scored by the structure's [`KernelKind`]. The
+//! tree builder's events (from [`crate::columns`]) carry the production
+//! batch kernel; the public constructors here start on the scalar
+//! oracle, and [`AttributeEvents::scored_by`] switches between the two.
+//! Single candidates ([`AttributeEvents::score_at`]) and interval bounds
+//! always use the exact scalar formula.
 
 use crate::counts::{clamp_residue, ClassCounts, CountsView, WEIGHT_EPSILON};
 use crate::fractional::FractionalTuple;
-use crate::kernel::{simd, CountsRepr, KernelKind, ScoreProfile};
+use crate::kernel::{simd, KernelKind};
 use crate::measure::Measure;
 use udt_obs::catalog;
 
@@ -51,66 +58,6 @@ pub struct Interval {
     pub kind: IntervalKind,
 }
 
-/// The cumulative matrix storage behind [`AttributeEvents`]: full `f64`
-/// rows (the default and determinism anchor) or the opt-in `f32`
-/// representation of [`CountsRepr::F32`], which halves the bytes the
-/// scoring loop streams. All *arithmetic* is f64 in either case —
-/// `f32` rows are widened at load time.
-#[derive(Debug, Clone)]
-pub(crate) enum CumStore {
-    /// Row-major `f64` cumulative matrix.
-    F64(Vec<f64>),
-    /// Row-major `f32` cumulative matrix (each row is the f32 rounding
-    /// of the running f64 accumulator — identical whether rounded during
-    /// construction or converted afterwards, since cumulative rows *are*
-    /// the accumulator's intermediate values).
-    F32(Vec<f32>),
-}
-
-impl CumStore {
-    /// Which representation this store carries.
-    fn counts_repr(&self) -> CountsRepr {
-        match self {
-            CumStore::F64(_) => CountsRepr::F64,
-            CumStore::F32(_) => CountsRepr::F32,
-        }
-    }
-}
-
-/// Stack capacity (in classes) for the widened-row buffers of the `f32`
-/// scoring paths; wider problems fall back to a heap buffer.
-const STACK_CLASSES: usize = 16;
-
-/// A reusable widening buffer: borrows one `f32` row as `&[f64]`.
-struct WidenBuf {
-    stack: [f64; STACK_CLASSES],
-    heap: Vec<f64>,
-}
-
-impl WidenBuf {
-    fn new() -> WidenBuf {
-        WidenBuf {
-            stack: [0.0; STACK_CLASSES],
-            heap: Vec::new(),
-        }
-    }
-
-    /// Widens row `i` of a row-major `f32` matrix with `k` columns.
-    fn fill<'a>(&'a mut self, cum: &[f32], k: usize, i: usize) -> &'a [f64] {
-        let row = &cum[i * k..(i + 1) * k];
-        if k <= STACK_CLASSES {
-            for (slot, &v) in self.stack[..k].iter_mut().zip(row) {
-                *slot = v as f64;
-            }
-            &self.stack[..k]
-        } else {
-            self.heap.clear();
-            self.heap.extend(row.iter().map(|&v| v as f64));
-            &self.heap
-        }
-    }
-}
-
 /// Safety margin subtracted from interval lower bounds when the simd
 /// kernel scores candidates: batch scores differ from the exact scalar
 /// bound formula by polynomial-`log2` jitter (~1e-13), and a bound must
@@ -128,15 +75,15 @@ pub struct AttributeEvents {
     /// Row-major cumulative per-class mass matrix: row `i` (that is,
     /// `cum[i*k .. (i+1)*k]` for `k = n_classes`) holds the per-class mass
     /// at positions `<= xs[i]`. The final row is the per-class total.
-    cum: CumStore,
+    cum: Vec<f64>,
     /// Number of classes (row width of `cum`).
     n_classes: usize,
     /// Indices into `xs` of the end points `Q_j` (pdf domain boundaries),
     /// ascending and distinct.
     end_point_idx: Vec<usize>,
-    /// Which kernel scores candidates (see [`crate::kernel`]).
+    /// Which kernel scores candidate batches (see [`crate::kernel`]).
     kernel: KernelKind,
-    /// The widened final cumulative row, hoisted so no scoring path
+    /// A copy of the final cumulative row, hoisted so no scoring path
     /// re-derives the per-class totals per candidate.
     total_row: Vec<f64>,
     /// Class-order f64 sum of `total_row` — the column's total mass,
@@ -244,7 +191,13 @@ impl AttributeEvents {
             end_point_idx.push(last);
         }
 
-        Some(Self::assemble_f64(xs, cum, n_classes, end_point_idx))
+        Some(Self::assemble(
+            xs,
+            cum,
+            n_classes,
+            end_point_idx,
+            KernelKind::Scalar,
+        ))
     }
 
     /// Assembles the structure from pre-aggregated parts — the zero-copy
@@ -273,125 +226,75 @@ impl AttributeEvents {
         if xs.len() < 2 {
             return None;
         }
-        Some(Self::assemble_f64(xs, cum, n_classes, end_point_idx))
+        Some(Self::assemble(
+            xs,
+            cum,
+            n_classes,
+            end_point_idx,
+            KernelKind::Scalar,
+        ))
     }
 
-    /// Assembles the structure directly from a pre-built count store —
-    /// the profile-aware sibling of [`from_parts`](Self::from_parts),
-    /// used by the columnar engine when it constructs the matrix in the
-    /// requested representation from the start. Same invariants as
-    /// [`from_parts`](Self::from_parts).
-    pub(crate) fn from_store(
+    /// Assembles the structure from a matrix built by the columnar
+    /// engine, scored by `kernel` — the crate-internal sibling of
+    /// [`from_parts`](Self::from_parts), with the same invariants.
+    pub(crate) fn from_matrix(
         xs: Vec<f64>,
-        cum: CumStore,
+        cum: Vec<f64>,
         n_classes: usize,
         end_point_idx: Vec<usize>,
         kernel: KernelKind,
     ) -> Option<AttributeEvents> {
+        debug_assert_eq!(xs.len() * n_classes, cum.len());
         debug_assert!(xs.windows(2).all(|w| w[0] < w[1]));
         debug_assert!(end_point_idx.windows(2).all(|w| w[0] < w[1]));
         debug_assert!(end_point_idx.iter().all(|&i| i < xs.len()));
-        match &cum {
-            CumStore::F64(c) => debug_assert_eq!(xs.len() * n_classes, c.len()),
-            CumStore::F32(c) => debug_assert_eq!(xs.len() * n_classes, c.len()),
-        }
         if xs.len() < 2 {
             return None;
         }
-        match &cum {
-            CumStore::F64(_) => catalog::KERNEL_MATRIX_BUILDS_F64.incr(),
-            CumStore::F32(_) => catalog::KERNEL_MATRIX_BUILDS_F32.incr(),
-        }
-        let mut ev = AttributeEvents {
+        catalog::KERNEL_MATRIX_BUILDS_F64.incr();
+        Some(Self::assemble(xs, cum, n_classes, end_point_idx, kernel))
+    }
+
+    /// Finishes construction from a validated matrix, hoisting the total
+    /// row and its class-order f64 sum (the scalar scoring path's
+    /// accumulation order).
+    fn assemble(
+        xs: Vec<f64>,
+        cum: Vec<f64>,
+        n_classes: usize,
+        end_point_idx: Vec<usize>,
+        kernel: KernelKind,
+    ) -> AttributeEvents {
+        let last = xs.len() - 1;
+        let total_row = cum[last * n_classes..(last + 1) * n_classes].to_vec();
+        let grand_total = total_row.iter().sum();
+        AttributeEvents {
             xs,
             cum,
             n_classes,
             end_point_idx,
             kernel,
-            total_row: Vec::new(),
-            grand_total: 0.0,
-        };
-        ev.recompute_totals();
-        Some(ev)
-    }
-
-    /// Finishes construction from a validated f64 matrix. Constructors
-    /// are environment-independent and always start at the scalar/f64
-    /// determinism anchor; builds opt in through
-    /// [`with_profile`](Self::with_profile).
-    fn assemble_f64(
-        xs: Vec<f64>,
-        cum: Vec<f64>,
-        n_classes: usize,
-        end_point_idx: Vec<usize>,
-    ) -> AttributeEvents {
-        let mut ev = AttributeEvents {
-            xs,
-            cum: CumStore::F64(cum),
-            n_classes,
-            end_point_idx,
-            kernel: KernelKind::Scalar,
-            total_row: Vec::new(),
-            grand_total: 0.0,
-        };
-        ev.recompute_totals();
-        ev
-    }
-
-    /// Rehoists the widened total row and the grand total from the
-    /// current store (class-order f64 sum, matching the scalar scoring
-    /// path's accumulation order).
-    fn recompute_totals(&mut self) {
-        let k = self.n_classes;
-        let last = self.xs.len() - 1;
-        self.total_row.clear();
-        match &self.cum {
-            CumStore::F64(c) => self
-                .total_row
-                .extend_from_slice(&c[last * k..(last + 1) * k]),
-            CumStore::F32(c) => self
-                .total_row
-                .extend(c[last * k..(last + 1) * k].iter().map(|&v| v as f64)),
+            total_row,
+            grand_total,
         }
-        self.grand_total = self.total_row.iter().sum();
     }
 
-    /// Re-homes the structure under a score profile: records the kernel
-    /// and converts the count store to the requested representation.
-    /// Converting `f64 → f32` rounds each stored element once — exactly
-    /// the values a from-scratch f32 construction produces, because
-    /// cumulative rows *are* the running accumulator's intermediate
-    /// values. (`f32 → f64` widens; the original f64 bits are not
-    /// recoverable.)
+    /// Re-homes the structure under another score kernel. The public
+    /// constructors ([`build`](Self::build),
+    /// [`from_sorted_events`](Self::from_sorted_events),
+    /// [`from_parts`](Self::from_parts)) start on the scalar oracle; the
+    /// columnar engine builds under [`KernelKind::PRODUCTION`].
     #[must_use]
-    pub fn with_profile(mut self, profile: ScoreProfile) -> AttributeEvents {
-        self.kernel = profile.kernel;
-        self.cum = match (self.cum, profile.counts) {
-            (CumStore::F64(c), CountsRepr::F32) => {
-                CumStore::F32(c.iter().map(|&v| v as f32).collect())
-            }
-            (CumStore::F32(c), CountsRepr::F64) => {
-                CumStore::F64(c.iter().map(|&v| v as f64).collect())
-            }
-            (store, _) => store,
-        };
-        self.recompute_totals();
+    pub fn scored_by(mut self, kernel: KernelKind) -> AttributeEvents {
+        self.kernel = kernel;
         self
     }
 
-    /// The score profile this structure carries (scalar/f64 unless
-    /// [`with_profile`](Self::with_profile) opted in).
-    pub fn profile(&self) -> ScoreProfile {
-        ScoreProfile {
-            kernel: self.kernel,
-            counts: self.cum.counts_repr(),
-        }
-    }
-
-    /// The raw count store — crate-internal, for the construction parity
-    /// tests that compare stored matrices across profiles bit for bit.
+    /// The raw cumulative matrix — crate-internal, for the construction
+    /// parity tests that compare matrices across kernels bit for bit.
     #[cfg(test)]
-    pub(crate) fn store(&self) -> &CumStore {
+    pub(crate) fn cum(&self) -> &[f64] {
         &self.cum
     }
 
@@ -410,32 +313,19 @@ impl AttributeEvents {
         self.n_classes
     }
 
-    /// Row `i` of the cumulative matrix. Only the f64 store has
-    /// borrowable f64 rows, so this accessor (and every materialised
-    /// count helper built on it) panics on an f32 store; the tree-build
-    /// path scores through [`score_at`](Self::score_at) /
-    /// [`score_range_into`](Self::score_range_into), which dispatch on
-    /// the store instead.
+    /// Row `i` of the cumulative matrix.
     #[inline]
     fn row(&self, i: usize) -> &[f64] {
-        match &self.cum {
-            CumStore::F64(cum) => &cum[i * self.n_classes..(i + 1) * self.n_classes],
-            CumStore::F32(_) => panic!(
-                "borrowed f64 count rows are unavailable on an f32 count store; \
-                 score through score_at/score_range_into or convert with with_profile"
-            ),
-        }
+        &self.cum[i * self.n_classes..(i + 1) * self.n_classes]
     }
 
-    /// Total per-class mass over all tuples (the final cumulative row,
-    /// widened to f64 on an f32 store).
+    /// Total per-class mass over all tuples (the final cumulative row).
     pub fn total(&self) -> CountsView<'_> {
         CountsView::new(&self.total_row)
     }
 
     /// The per-class counts of mass at positions `<= xs[i]` — the "left"
     /// counts of a split at `xs[i]`. A borrowed row; no allocation.
-    /// Panics on an f32 store (no borrowable f64 rows).
     pub fn left_counts(&self, i: usize) -> CountsView<'_> {
         CountsView::new(self.row(i))
     }
@@ -477,25 +367,15 @@ impl AttributeEvents {
 
     /// Dispersion score (eq. 1) of splitting at `xs[i]`. Splits that leave
     /// one side without mass score `+∞` (they are not valid splits).
-    /// Allocation-free on the f64 store: one borrowed cumulative row plus
-    /// the hoisted total row; an f32 row is widened into a stack buffer
-    /// first. Single candidates always take the exact scalar formula —
-    /// under the simd kernel only *batches*
+    /// Allocation-free: one borrowed cumulative row plus the hoisted
+    /// total row. Single candidates always take the exact scalar formula
+    /// (the oracle) — under the simd kernel only *batches*
     /// ([`score_range_into`](Self::score_range_into)) take the vector
     /// path, whose ~1e-14 cross-formula jitter the deterministic
     /// tie-break band absorbs.
     #[inline]
     pub fn score_at(&self, i: usize, measure: Measure) -> f64 {
-        match &self.cum {
-            CumStore::F64(cum) => {
-                let k = self.n_classes;
-                measure.split_score_cum(&cum[i * k..(i + 1) * k], &self.total_row)
-            }
-            CumStore::F32(cum) => {
-                let mut buf = WidenBuf::new();
-                measure.split_score_cum(buf.fill(cum, self.n_classes, i), &self.total_row)
-            }
-        }
+        measure.split_score_cum(self.row(i), &self.total_row)
     }
 
     /// Scores every candidate in `range` into `out` (cleared and resized
@@ -538,13 +418,9 @@ impl AttributeEvents {
             }
             KernelKind::Simd => {
                 catalog::KERNEL_SIMD_BATCHES.incr();
-                let store = match &self.cum {
-                    CumStore::F64(c) => simd::StoreRef::F64(c),
-                    CumStore::F32(c) => simd::StoreRef::F32(c),
-                };
                 simd::score_range_into(
                     measure,
-                    store,
+                    &self.cum,
                     self.n_classes,
                     &self.total_row,
                     self.grand_total,
@@ -560,10 +436,8 @@ impl AttributeEvents {
     /// end-point evaluation, where the candidates are not contiguous.
     /// Under [`KernelKind::Scalar`] (or for short lists) this is exactly
     /// a [`score_at`](Self::score_at) loop; under [`KernelKind::Simd`]
-    /// the indexed rows are gathered into one contiguous f64 staging
-    /// matrix (widening is exact, so both count representations stage
-    /// the same values they would hand the kernel directly) and scored
-    /// by the vector kernel in a single call.
+    /// the indexed rows are gathered into one contiguous staging matrix
+    /// and scored by the vector kernel in a single call.
     pub fn score_indices_into(&self, idx: &[usize], measure: Measure, out: &mut Vec<f64>) {
         const SIMD_MIN_BATCH: usize = 8;
         out.clear();
@@ -585,21 +459,12 @@ impl AttributeEvents {
         catalog::KERNEL_SIMD_BATCHES.incr();
         let k = self.n_classes;
         let mut staged: Vec<f64> = Vec::with_capacity(idx.len() * k);
-        match &self.cum {
-            CumStore::F64(cum) => {
-                for &i in idx {
-                    staged.extend_from_slice(&cum[i * k..(i + 1) * k]);
-                }
-            }
-            CumStore::F32(cum) => {
-                for &i in idx {
-                    staged.extend(cum[i * k..(i + 1) * k].iter().map(|&v| f64::from(v)));
-                }
-            }
+        for &i in idx {
+            staged.extend_from_slice(self.row(i));
         }
         simd::score_range_into(
             measure,
-            simd::StoreRef::F64(&staged),
+            &staged,
             k,
             &self.total_row,
             self.grand_total,
@@ -638,18 +503,7 @@ impl AttributeEvents {
     /// Classifies the mass in `(xs[lo], xs[hi]]` without materialising the
     /// per-class difference vector.
     fn classify_interval(&self, lo: usize, hi: usize) -> IntervalKind {
-        match &self.cum {
-            CumStore::F64(_) => Self::classify_interval_rows(self.row(lo), self.row(hi)),
-            CumStore::F32(cum) => {
-                let (mut blo, mut bhi) = (WidenBuf::new(), WidenBuf::new());
-                let k = self.n_classes;
-                Self::classify_interval_rows(blo.fill(cum, k, lo), bhi.fill(cum, k, hi))
-            }
-        }
-    }
-
-    /// The store-independent classification kernel over two widened rows.
-    fn classify_interval_rows(row_lo: &[f64], row_hi: &[f64]) -> IntervalKind {
+        let (row_lo, row_hi) = (self.row(lo), self.row(hi));
         let total: f64 = row_hi
             .iter()
             .zip(row_lo)
@@ -713,28 +567,14 @@ impl AttributeEvents {
     }
 
     /// The eq. 3 / eq. 4 lower bound over every split point in `[xs[lo],
-    /// xs[hi]]`. Allocation-free on the f64 store: two borrowed
-    /// cumulative rows plus the hoisted total row; f32 rows are widened
-    /// into stack buffers. The bound itself always uses the exact scalar
+    /// xs[hi]]`. Allocation-free: two borrowed cumulative rows plus the
+    /// hoisted total row. The bound itself always uses the exact scalar
     /// formula; under the simd kernel a [`SIMD_BOUND_MARGIN`] is
     /// subtracted so the bound stays safe against the batch kernel's
     /// polynomial-`log2` score jitter.
     #[inline]
     pub fn interval_lower_bound(&self, lo: usize, hi: usize, measure: Measure) -> f64 {
-        let raw = match &self.cum {
-            CumStore::F64(_) => {
-                measure.interval_lower_bound_cum(self.row(lo), self.row(hi), &self.total_row)
-            }
-            CumStore::F32(cum) => {
-                let (mut blo, mut bhi) = (WidenBuf::new(), WidenBuf::new());
-                let k = self.n_classes;
-                measure.interval_lower_bound_cum(
-                    blo.fill(cum, k, lo),
-                    bhi.fill(cum, k, hi),
-                    &self.total_row,
-                )
-            }
-        };
+        let raw = measure.interval_lower_bound_cum(self.row(lo), self.row(hi), &self.total_row);
         match self.kernel {
             KernelKind::Scalar => raw,
             // −∞ and +∞ pass through unchanged (∞ − margin == ∞).

@@ -58,86 +58,6 @@ const M_GINI: u8 = 1;
 /// Measure selector: gain ratio.
 const M_GAIN_RATIO: u8 = 2;
 
-/// A cumulative-count element: `f64` or `f32`, widened to `f64` at load
-/// time (all arithmetic is f64 in either representation).
-pub(crate) trait CumElem: Copy + Send + Sync + 'static {
-    /// The element widened to `f64`.
-    fn widen(self) -> f64;
-    /// The f64 running accumulator narrowed to the stored representation
-    /// (identity for `f64`, one rounding for `f32`).
-    fn from_accum(v: f64) -> Self;
-    /// Wraps a finished matrix in the matching [`CumStore`] variant.
-    fn into_store(v: Vec<Self>) -> crate::events::CumStore;
-
-    /// Stores the four f64 accumulator lanes at `dst` in this element's
-    /// representation (the `f32` impl narrows with the same
-    /// round-to-nearest `as f32` conversion as [`from_accum`]
-    /// (CumElem::from_accum)). Used by the vectorized construction loop,
-    /// which writes rows with overlapping 4-lane stores.
-    ///
-    /// # Safety
-    ///
-    /// `dst` must be valid for writes of four elements, and the caller
-    /// must run on AVX2 hardware (the caller's `#[target_feature]`
-    /// context makes the intrinsics sound once inlined).
-    #[cfg(target_arch = "x86_64")]
-    unsafe fn store_lanes_avx2(acc: std::arch::x86_64::__m256d, dst: *mut Self);
-}
-
-impl CumElem for f64 {
-    #[inline(always)]
-    fn widen(self) -> f64 {
-        self
-    }
-
-    #[inline(always)]
-    fn from_accum(v: f64) -> f64 {
-        v
-    }
-
-    fn into_store(v: Vec<f64>) -> crate::events::CumStore {
-        crate::events::CumStore::F64(v)
-    }
-
-    #[cfg(target_arch = "x86_64")]
-    #[inline(always)]
-    unsafe fn store_lanes_avx2(acc: std::arch::x86_64::__m256d, dst: *mut f64) {
-        std::arch::x86_64::_mm256_storeu_pd(dst, acc);
-    }
-}
-
-impl CumElem for f32 {
-    #[inline(always)]
-    fn widen(self) -> f64 {
-        self as f64
-    }
-
-    #[inline(always)]
-    fn from_accum(v: f64) -> f32 {
-        v as f32
-    }
-
-    fn into_store(v: Vec<f32>) -> crate::events::CumStore {
-        crate::events::CumStore::F32(v)
-    }
-
-    #[cfg(target_arch = "x86_64")]
-    #[inline(always)]
-    unsafe fn store_lanes_avx2(acc: std::arch::x86_64::__m256d, dst: *mut f32) {
-        use std::arch::x86_64::*;
-        _mm_storeu_ps(dst, _mm256_cvtpd_ps(acc));
-    }
-}
-
-/// Borrowed view of a cumulative count matrix in either representation.
-#[derive(Clone, Copy)]
-pub(crate) enum StoreRef<'a> {
-    /// Row-major `f64` matrix.
-    F64(&'a [f64]),
-    /// Row-major `f32` matrix.
-    F32(&'a [f32]),
-}
-
 // --- polynomial log2 -------------------------------------------------
 
 const MANT_MASK: u64 = 0x000F_FFFF_FFFF_FFFF;
@@ -206,7 +126,7 @@ pub(crate) fn pxlog2x(x: f64) -> f64 {
 /// polynomial so every backend shares the same values.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct ColumnConsts {
-    /// Total mass `T` of the column (f64 sum of the widened total row).
+    /// Total mass `T` of the column (f64 sum of the total row).
     grand_total: f64,
     /// `1/T` (0 when the column is massless — every candidate gates).
     inv_t: f64,
@@ -248,8 +168,8 @@ pub(crate) fn column_consts(measure: Measure, total: &[f64], grand_total: f64) -
 /// Scores one candidate row; the lane-exact scalar reference all vector
 /// backends are checked against bitwise.
 #[inline(always)]
-fn score_one_row<const M: u8, E: CumElem>(
-    cum: &[E],
+fn score_one_row<const M: u8>(
+    cum: &[f64],
     k: usize,
     base: usize,
     total: &[f64],
@@ -261,7 +181,7 @@ fn score_one_row<const M: u8, E: CumElem>(
     for c in 0..k {
         // Safety: the dispatcher asserts rows.end * k <= cum.len() and
         // total.len() == k before any row is scored.
-        let l = unsafe { cum.get_unchecked(base + c) }.widen();
+        let l = unsafe { *cum.get_unchecked(base + c) };
         let r = unsafe { *total.get_unchecked(c) } - l;
         nl += l;
         if M == M_GINI {
@@ -297,8 +217,8 @@ fn score_one_row<const M: u8, E: CumElem>(
 
 /// Portable batch scorer: the non-x86 backend and the tail path of both
 /// vector kernels.
-fn score_rows_portable<const M: u8, E: CumElem>(
-    cum: &[E],
+fn score_rows_portable<const M: u8>(
+    cum: &[f64],
     k: usize,
     total: &[f64],
     consts: &ColumnConsts,
@@ -306,7 +226,7 @@ fn score_rows_portable<const M: u8, E: CumElem>(
     out: &mut [f64],
 ) {
     for (slot, i) in rows.enumerate() {
-        out[slot] = score_one_row::<M, E>(cum, k, i * k, total, consts);
+        out[slot] = score_one_row::<M>(cum, k, i * k, total, consts);
     }
 }
 
@@ -357,8 +277,8 @@ unsafe fn vxlog2x_avx2(x: __m256d) -> __m256d {
 /// AVX2 batch scorer: 4 candidate rows per iteration, portable tail.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-unsafe fn score_rows_avx2<const M: u8, E: CumElem>(
-    cum: &[E],
+unsafe fn score_rows_avx2<const M: u8>(
+    cum: &[f64],
     k: usize,
     total: &[f64],
     consts: &ColumnConsts,
@@ -384,10 +304,10 @@ unsafe fn score_rows_avx2<const M: u8, E: CumElem>(
                 // Strided gather: k is runtime-variable, so four scalar
                 // loads beat a hardware gather here.
                 let l = _mm256_set_pd(
-                    cum.get_unchecked(b3 + c).widen(),
-                    cum.get_unchecked(b2 + c).widen(),
-                    cum.get_unchecked(b1 + c).widen(),
-                    cum.get_unchecked(b0 + c).widen(),
+                    *cum.get_unchecked(b3 + c),
+                    *cum.get_unchecked(b2 + c),
+                    *cum.get_unchecked(b1 + c),
+                    *cum.get_unchecked(b0 + c),
                 );
                 let tc = _mm256_set1_pd(*total.get_unchecked(c));
                 let r = _mm256_sub_pd(tc, l);
@@ -429,7 +349,7 @@ unsafe fn score_rows_avx2<const M: u8, E: CumElem>(
             _mm256_storeu_pd(out.as_mut_ptr().add(ch * 4), score);
         }
         let done = chunks * 4;
-        score_rows_portable::<M, E>(
+        score_rows_portable::<M>(
             cum,
             k,
             total,
@@ -490,8 +410,8 @@ unsafe fn vxlog2x_sse2(x: __m128d) -> __m128d {
 
 /// SSE2 batch scorer: 2 candidate rows per iteration, portable tail.
 #[cfg(target_arch = "x86_64")]
-unsafe fn score_rows_sse2<const M: u8, E: CumElem>(
-    cum: &[E],
+unsafe fn score_rows_sse2<const M: u8>(
+    cum: &[f64],
     k: usize,
     total: &[f64],
     consts: &ColumnConsts,
@@ -512,10 +432,7 @@ unsafe fn score_rows_sse2<const M: u8, E: CumElem>(
             let mut acc_a = _mm_setzero_pd();
             let mut acc_b = _mm_setzero_pd();
             for c in 0..k {
-                let l = _mm_set_pd(
-                    cum.get_unchecked(b1 + c).widen(),
-                    cum.get_unchecked(b0 + c).widen(),
-                );
+                let l = _mm_set_pd(*cum.get_unchecked(b1 + c), *cum.get_unchecked(b0 + c));
                 let tc = _mm_set1_pd(*total.get_unchecked(c));
                 let r = _mm_sub_pd(tc, l);
                 nl = _mm_add_pd(nl, l);
@@ -549,7 +466,7 @@ unsafe fn score_rows_sse2<const M: u8, E: CumElem>(
             _mm_storeu_pd(out.as_mut_ptr().add(ch * 2), score);
         }
         let done = chunks * 2;
-        score_rows_portable::<M, E>(
+        score_rows_portable::<M>(
             cum,
             k,
             total,
@@ -562,9 +479,9 @@ unsafe fn score_rows_sse2<const M: u8, E: CumElem>(
 
 // --- dispatch --------------------------------------------------------
 
-fn run<const M: u8, E: CumElem>(
+fn run<const M: u8>(
     backend: SimdBackend,
-    cum: &[E],
+    cum: &[f64],
     k: usize,
     total: &[f64],
     consts: &ColumnConsts,
@@ -578,19 +495,19 @@ fn run<const M: u8, E: CumElem>(
         #[cfg(target_arch = "x86_64")]
         // Safety: Avx2 is only returned (or forced in tests) when the
         // host reports the feature; bounds are asserted above.
-        SimdBackend::Avx2 => unsafe { score_rows_avx2::<M, E>(cum, k, total, consts, rows, out) },
+        SimdBackend::Avx2 => unsafe { score_rows_avx2::<M>(cum, k, total, consts, rows, out) },
         #[cfg(target_arch = "x86_64")]
         // Safety: SSE2 is baseline on x86_64; bounds asserted above.
-        SimdBackend::Sse2 => unsafe { score_rows_sse2::<M, E>(cum, k, total, consts, rows, out) },
-        _ => score_rows_portable::<M, E>(cum, k, total, consts, rows, out),
+        SimdBackend::Sse2 => unsafe { score_rows_sse2::<M>(cum, k, total, consts, rows, out) },
+        _ => score_rows_portable::<M>(cum, k, total, consts, rows, out),
     }
 }
 
 #[allow(clippy::too_many_arguments)] // internal plumbing: one slot per scoring input
-fn dispatch<E: CumElem>(
+fn dispatch(
     backend: SimdBackend,
     measure: Measure,
-    cum: &[E],
+    cum: &[f64],
     k: usize,
     total: &[f64],
     consts: &ColumnConsts,
@@ -598,9 +515,9 @@ fn dispatch<E: CumElem>(
     out: &mut [f64],
 ) {
     match measure {
-        Measure::Entropy => run::<M_ENTROPY, E>(backend, cum, k, total, consts, rows, out),
-        Measure::Gini => run::<M_GINI, E>(backend, cum, k, total, consts, rows, out),
-        Measure::GainRatio => run::<M_GAIN_RATIO, E>(backend, cum, k, total, consts, rows, out),
+        Measure::Entropy => run::<M_ENTROPY>(backend, cum, k, total, consts, rows, out),
+        Measure::Gini => run::<M_GINI>(backend, cum, k, total, consts, rows, out),
+        Measure::GainRatio => run::<M_GAIN_RATIO>(backend, cum, k, total, consts, rows, out),
     }
 }
 
@@ -608,14 +525,14 @@ fn dispatch<E: CumElem>(
 /// `out` on an explicit backend. On non-x86 targets the vector backends
 /// degrade to the (bit-identical) portable path.
 ///
-/// `total` is the widened total row (length `n_classes`) and
+/// `total` is the final cumulative row (length `n_classes`) and
 /// `grand_total` its f64 class-order sum, both provided by the caller so
 /// they are hoisted across calls.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn score_range_with_backend(
     backend: SimdBackend,
     measure: Measure,
-    store: StoreRef<'_>,
+    cum: &[f64],
     n_classes: usize,
     total: &[f64],
     grand_total: f64,
@@ -623,20 +540,13 @@ pub(crate) fn score_range_with_backend(
     out: &mut [f64],
 ) {
     let consts = column_consts(measure, total, grand_total);
-    match store {
-        StoreRef::F64(cum) => {
-            dispatch::<f64>(backend, measure, cum, n_classes, total, &consts, rows, out)
-        }
-        StoreRef::F32(cum) => {
-            dispatch::<f32>(backend, measure, cum, n_classes, total, &consts, rows, out)
-        }
-    }
+    dispatch(backend, measure, cum, n_classes, total, &consts, rows, out)
 }
 
 /// Scores candidate rows on the fastest backend this host supports.
 pub(crate) fn score_range_into(
     measure: Measure,
-    store: StoreRef<'_>,
+    cum: &[f64],
     n_classes: usize,
     total: &[f64],
     grand_total: f64,
@@ -646,7 +556,7 @@ pub(crate) fn score_range_into(
     score_range_with_backend(
         super::detected_backend(),
         measure,
-        store,
+        cum,
         n_classes,
         total,
         grand_total,
@@ -679,7 +589,7 @@ mod tests {
     }
 
     /// Builds a random row-monotone cumulative matrix with `n` positions
-    /// and `k` classes, plus its widened total row and grand total.
+    /// and `k` classes, plus its total row and grand total.
     fn random_matrix(rng: &mut ChaCha8Rng, n: usize, k: usize) -> (Vec<f64>, Vec<f64>, f64) {
         let mut cum = vec![0.0f64; n * k];
         let mut running = vec![0.0f64; k];
@@ -731,62 +641,41 @@ mod tests {
             let k = rng.gen_range(1..7usize);
             let n = rng.gen_range(2..40usize);
             let (cum, total, grand_total) = random_matrix(&mut rng, n, k);
-            let cum32: Vec<f32> = cum.iter().map(|&v| v as f32).collect();
             for measure in ALL_MEASURES {
                 for lo in [0usize, 1, n / 2] {
                     let rows = lo..n;
-                    let mut reference = vec![0.0f64; rows.len()];
+                    let mut want = vec![0.0f64; rows.len()];
                     score_range_with_backend(
                         SimdBackend::Portable,
                         measure,
-                        StoreRef::F64(&cum),
+                        &cum,
                         k,
                         &total,
                         grand_total,
                         rows.clone(),
-                        &mut reference,
+                        &mut want,
                     );
                     for backend in backends_to_test() {
-                        for (label, store) in
-                            [("f64", StoreRef::F64(&cum)), ("f32", StoreRef::F32(&cum32))]
-                        {
-                            // The f32 store needs its own reference (the
-                            // rounded counts change the scores).
-                            let mut want = vec![0.0f64; rows.len()];
-                            score_range_with_backend(
-                                SimdBackend::Portable,
-                                measure,
-                                store,
-                                k,
-                                &total,
-                                grand_total,
-                                rows.clone(),
-                                &mut want,
-                            );
-                            let mut got = vec![f64::NAN; rows.len()];
-                            score_range_with_backend(
+                        let mut got = vec![f64::NAN; rows.len()];
+                        score_range_with_backend(
+                            backend,
+                            measure,
+                            &cum,
+                            k,
+                            &total,
+                            grand_total,
+                            rows.clone(),
+                            &mut got,
+                        );
+                        for (slot, (g, w)) in got.iter().zip(&want).enumerate() {
+                            assert_eq!(
+                                g.to_bits(),
+                                w.to_bits(),
+                                "case {case} {measure:?} {:?} row {} on {:?}: {g} vs {w}",
+                                rows,
+                                rows.start + slot,
                                 backend,
-                                measure,
-                                store,
-                                k,
-                                &total,
-                                grand_total,
-                                rows.clone(),
-                                &mut got,
                             );
-                            for (slot, (g, w)) in got.iter().zip(&want).enumerate() {
-                                assert_eq!(
-                                    g.to_bits(),
-                                    w.to_bits(),
-                                    "case {case} {measure:?} {label} {:?} row {} on {:?}: {g} vs {w}",
-                                    rows,
-                                    rows.start + slot,
-                                    backend,
-                                );
-                            }
-                            if matches!(store, StoreRef::F64(_)) {
-                                assert_eq!(want, reference, "f64 portable self-check");
-                            }
                         }
                     }
                 }
@@ -803,15 +692,7 @@ mod tests {
             let (cum, total, grand_total) = random_matrix(&mut rng, n, k);
             for measure in ALL_MEASURES {
                 let mut got = vec![0.0f64; n];
-                score_range_into(
-                    measure,
-                    StoreRef::F64(&cum),
-                    k,
-                    &total,
-                    grand_total,
-                    0..n,
-                    &mut got,
-                );
+                score_range_into(measure, &cum, k, &total, grand_total, 0..n, &mut got);
                 for i in 0..n {
                     let want = measure.split_score_cum(&cum[i * k..(i + 1) * k], &total);
                     if want.is_finite() {
@@ -834,7 +715,7 @@ mod tests {
         let total = vec![0.0f64; 2];
         for measure in ALL_MEASURES {
             let mut out = vec![0.0f64; 4];
-            score_range_into(measure, StoreRef::F64(&cum), 2, &total, 0.0, 0..4, &mut out);
+            score_range_into(measure, &cum, 2, &total, 0.0, 0..4, &mut out);
             assert!(
                 out.iter().all(|s| *s == f64::INFINITY),
                 "{measure:?}: {out:?}"

@@ -31,9 +31,7 @@
 //!   thereafter. Tree recursion narrows per-attribute *views* — surviving
 //!   event ids plus sparse per-tuple scale factors (the kept-pdf-fraction
 //!   chain of §3.2's fractional splits) — reconstructing event mass on
-//!   the fly as `root_mass * scale`. The copying engine survives as
-//!   [`config::PartitionMode::Owned`] for A/B regression; both modes are
-//!   arena-bit-identical by construction.
+//!   the fly as `root_mass * scale`, so no child node copies a mass.
 //! * **Flat cumulative rows** ([`events::AttributeEvents`]): per-position
 //!   per-class masses live in a single row-major `Vec<f64>` matrix whose
 //!   final row is the total, so the "left" counts of any candidate are a
@@ -43,15 +41,12 @@
 //!   [`measure::Measure::interval_lower_bound_cum`]): eq. 1 scores and
 //!   the §5.2 eq. 3/4 bounds are pure slice arithmetic; no counter is
 //!   cloned anywhere on the per-candidate path.
-//! * **Score kernels** ([`kernel`]): *how* candidates are scored is a
-//!   runtime knob. The default [`KernelKind::Scalar`] kernel is
-//!   bit-for-bit the historical per-candidate arithmetic; the opt-in
-//!   [`KernelKind::Simd`] kernel scores batches of contiguous candidate
-//!   rows with runtime-detected AVX2/SSE2 lanes (portable fallback
-//!   elsewhere), and [`CountsRepr::F32`] opts the cumulative matrix into
-//!   an `f32` representation that halves scoring bandwidth. `scalar/f64`
-//!   remains the determinism anchor; the other combinations are gated by
-//!   a seeded parity suite (`UDT_KERNEL` / `UDT_COUNTS` env overrides).
+//! * **One score kernel** ([`kernel`]): every build scores candidate
+//!   batches with the batch kernel ([`KernelKind::Simd`]) on the backend
+//!   detected at runtime (AVX2 → SSE2 → portable). The per-candidate
+//!   scalar formula ([`KernelKind::Scalar`]) is the test oracle and the
+//!   short-batch path; a seeded parity suite checks that both choose the
+//!   same split.
 //! * **Baseline** ([`baseline`]): the pre-columnar engine (per-node
 //!   rebuild + re-sort, one owned counter per position, clone-based
 //!   scoring) is kept for regression tests — the columnar engine
@@ -73,14 +68,15 @@
 //!
 //! ## Serving: batch classification
 //!
-//! [`classify::classify_batch`] classifies a whole slice of tuples with
-//! an explicit-stack walk over the arena, reusing every per-tuple buffer
-//! (frame stack, pdf-override delta chain, accumulator) in a
-//! [`classify::BatchScratch`] and skipping pdf materialisation whenever a
-//! split is one-sided. Results are bit-for-bit identical to the
-//! per-tuple recursive path ([`DecisionTree::predict_distribution`]) —
-//! asserted by regression tests — at a multiple of its throughput (see
-//! the `classify_throughput` bench).
+//! [`classify::classify_batch`] is the one classifier: it classifies a
+//! whole slice of tuples with an explicit-stack walk over the arena,
+//! reusing every per-tuple buffer (frame stack, pdf-override delta chain,
+//! accumulator) in a [`classify::BatchScratch`] and skipping pdf
+//! materialisation whenever a split is one-sided.
+//! [`DecisionTree::predict_distribution`] is a one-element batch. Results
+//! are bit-for-bit identical to the boxed recursion
+//! ([`classify::predict_distribution_node`]), the oracle the regression
+//! tests check against.
 //!
 //! ## The execution pool
 //!
@@ -104,10 +100,8 @@
 //! attribute/queue order, and the UDT-GP/UDT-ES cross-attribute pruning
 //! pass never shares intermediate thresholds between concurrent items —
 //! so builds are **arena-bit-identical for every thread count,
-//! including 1** (regression-tested across thread counts, fork depths
-//! and partition modes). The legacy `parallel` cargo feature is kept as
-//! a deprecated alias that gates nothing; thread count is purely a
-//! runtime setting.
+//! including 1** (regression-tested across thread counts and fork
+//! depths). Thread count is purely a runtime setting.
 //!
 //! ## Typical use
 //!
@@ -166,7 +160,7 @@ pub use config::{Algorithm, PartitionMode, ThreadCount, UdtConfig};
 pub use counts::ClassCounts;
 pub use error::TreeError;
 pub use flat::{FlatTree, NodeKind};
-pub use kernel::{CountsRepr, KernelKind, ScoreProfile};
+pub use kernel::KernelKind;
 pub use measure::Measure;
 pub use node::{DecisionTree, Node};
 pub use pool::WorkerPool;

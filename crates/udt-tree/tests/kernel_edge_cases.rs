@@ -1,6 +1,6 @@
 //! Edge-case coverage for the score-kernel layer, exercised through the
 //! public [`AttributeEvents`] batch entry points so every case runs
-//! under both kernels × both count representations:
+//! under both the scalar oracle and the batch kernel:
 //!
 //! - empty-side candidates (the `WEIGHT_EPSILON` mass gate) score `+∞`;
 //! - single-class columns score exactly zero dispersion everywhere;
@@ -12,40 +12,21 @@
 //!   under extreme mass imbalance.
 
 use udt_tree::events::AttributeEvents;
-use udt_tree::{ClassCounts, CountsRepr, KernelKind, Measure, ScoreProfile};
+use udt_tree::{ClassCounts, KernelKind, Measure};
 
 const MEASURES: [Measure; 3] = [Measure::Entropy, Measure::Gini, Measure::GainRatio];
 
-/// All four kernel × counts combinations, default (scalar/f64) first.
-fn profiles() -> [ScoreProfile; 4] {
-    [
-        ScoreProfile {
-            kernel: KernelKind::Scalar,
-            counts: CountsRepr::F64,
-        },
-        ScoreProfile {
-            kernel: KernelKind::Scalar,
-            counts: CountsRepr::F32,
-        },
-        ScoreProfile {
-            kernel: KernelKind::Simd,
-            counts: CountsRepr::F64,
-        },
-        ScoreProfile {
-            kernel: KernelKind::Simd,
-            counts: CountsRepr::F32,
-        },
-    ]
-}
+/// Both kernels, the scalar oracle first.
+const KERNELS: [KernelKind; 2] = [KernelKind::Scalar, KernelKind::Simd];
 
-/// Builds an events structure from explicit cumulative rows, converted
-/// into the requested profile.
-fn events(xs: &[f64], rows: &[&[f64]], profile: ScoreProfile) -> AttributeEvents {
+/// Builds an events structure from explicit cumulative rows, scored by
+/// `kernel`.
+fn events(xs: &[f64], rows: &[&[f64]], kernel: KernelKind) -> AttributeEvents {
     let n_classes = rows[0].len();
     let cum: Vec<f64> = rows.iter().flat_map(|r| r.iter().copied()).collect();
     AttributeEvents::from_parts(xs.to_vec(), cum, n_classes, vec![0, xs.len() - 1])
         .expect("at least two positions")
-        .with_profile(profile)
+        .scored_by(kernel)
 }
 
 /// Scores the full candidate range of `ev` into a fresh vector.
@@ -71,28 +52,25 @@ fn empty_side_candidates_score_infinite() {
         &[1.0, 2.0],
         &[1.0, 2.0],
     ];
-    for profile in profiles() {
-        let ev = events(&xs, &rows, profile);
+    for kernel in KERNELS {
+        let ev = events(&xs, &rows, kernel);
         for measure in MEASURES {
             let got = scores(&ev, measure);
             assert_eq!(
                 got[0],
                 f64::INFINITY,
-                "{}/{measure:?}: empty left side",
-                profile.label()
+                "{kernel:?}/{measure:?}: empty left side"
             );
             assert_eq!(
                 got[1],
                 f64::INFINITY,
-                "{}/{measure:?}: sub-epsilon left side",
-                profile.label()
+                "{kernel:?}/{measure:?}: sub-epsilon left side"
             );
-            assert!(got[2].is_finite(), "{}/{measure:?}", profile.label());
+            assert!(got[2].is_finite(), "{kernel:?}/{measure:?}");
             assert_eq!(
                 got[3],
                 f64::INFINITY,
-                "{}/{measure:?}: empty right side",
-                profile.label()
+                "{kernel:?}/{measure:?}: empty right side"
             );
             // The batch and single-candidate paths agree on the gates.
             for (i, &s) in got.iter().enumerate() {
@@ -100,8 +78,7 @@ fn empty_side_candidates_score_infinite() {
                 assert_eq!(
                     s.is_finite(),
                     single.is_finite(),
-                    "{}/{measure:?}, candidate {i}",
-                    profile.label()
+                    "{kernel:?}/{measure:?}, candidate {i}"
                 );
             }
         }
@@ -112,10 +89,9 @@ fn empty_side_candidates_score_infinite() {
 fn single_class_columns_score_zero_everywhere() {
     // All mass in class 1 of 3: both sides of every candidate are pure,
     // so entropy and Gini are exactly 0.0 and gain ratio divides a zero
-    // gain by a positive split_info. The count values are f32-exact, so
-    // all four profiles see identical inputs. The scalar kernel is
-    // exactly zero; the simd kernel's algebraic rearrangement leaves at
-    // most its documented 1e-12 jitter around it.
+    // gain by a positive split_info. The scalar kernel is exactly zero;
+    // the simd kernel's algebraic rearrangement leaves at most its
+    // documented 1e-12 jitter around it.
     let xs = [0.0, 1.0, 2.0, 3.0];
     let rows: [&[f64]; 4] = [
         &[0.0, 1.0, 0.0],
@@ -123,19 +99,15 @@ fn single_class_columns_score_zero_everywhere() {
         &[0.0, 3.5, 0.0],
         &[0.0, 5.0, 0.0],
     ];
-    for profile in profiles() {
-        let ev = events(&xs, &rows, profile);
+    for kernel in KERNELS {
+        let ev = events(&xs, &rows, kernel);
         for measure in MEASURES {
             for (i, s) in scores(&ev, measure).into_iter().enumerate() {
-                match profile.kernel {
-                    KernelKind::Scalar => {
-                        assert_eq!(s, 0.0, "{}/{measure:?}, candidate {i}", profile.label())
+                match kernel {
+                    KernelKind::Scalar => assert_eq!(s, 0.0, "{measure:?}, candidate {i}"),
+                    KernelKind::Simd => {
+                        assert!(s.abs() <= 1e-12, "{measure:?}, candidate {i}: {s}")
                     }
-                    KernelKind::Simd => assert!(
-                        s.abs() <= 1e-12,
-                        "{}/{measure:?}, candidate {i}: {s}",
-                        profile.label()
-                    ),
                 }
             }
         }
@@ -146,9 +118,7 @@ fn single_class_columns_score_zero_everywhere() {
 fn every_tail_lane_shape_matches_the_scalar_kernel() {
     // 13 positions → 12 candidates, scored through every sub-range of
     // length 1..=9 at every offset: covers full AVX2 blocks (4 rows),
-    // SSE2 pairs, and 1–3-row tails. Counts are multiples of 0.25, so
-    // the f32 store holds exactly the same values as the f64 store and
-    // every profile scores the same matrix.
+    // SSE2 pairs, and 1–3-row tails.
     let n = 13usize;
     let k = 3usize;
     let xs: Vec<f64> = (0..n).map(|i| i as f64).collect();
@@ -160,24 +130,21 @@ fn every_tail_lane_shape_matches_the_scalar_kernel() {
         })
         .collect();
     let rows: Vec<&[f64]> = rows_data.iter().map(Vec::as_slice).collect();
-    let reference = events(&xs, &rows, profiles()[0]);
-    for profile in &profiles()[1..] {
-        let ev = events(&xs, &rows, *profile);
-        for measure in MEASURES {
-            for len in 1..=9usize {
-                for start in 0..=(n - 1 - len) {
-                    let mut want = Vec::new();
-                    let mut got = Vec::new();
-                    reference.score_range_into(start..start + len, measure, &mut want);
-                    ev.score_range_into(start..start + len, measure, &mut got);
-                    for (slot, (&g, &w)) in got.iter().zip(&want).enumerate() {
-                        assert!(
-                            (g - w).abs() <= 1e-9 || (g == w),
-                            "{}/{measure:?}, range {start}..{}, slot {slot}: {g} vs {w}",
-                            profile.label(),
-                            start + len
-                        );
-                    }
+    let reference = events(&xs, &rows, KernelKind::Scalar);
+    let ev = events(&xs, &rows, KernelKind::Simd);
+    for measure in MEASURES {
+        for len in 1..=9usize {
+            for start in 0..=(n - 1 - len) {
+                let mut want = Vec::new();
+                let mut got = Vec::new();
+                reference.score_range_into(start..start + len, measure, &mut want);
+                ev.score_range_into(start..start + len, measure, &mut got);
+                for (slot, (&g, &w)) in got.iter().zip(&want).enumerate() {
+                    assert!(
+                        (g - w).abs() <= 1e-9 || (g == w),
+                        "{measure:?}, range {start}..{}, slot {slot}: {g} vs {w}",
+                        start + len
+                    );
                 }
             }
         }
@@ -186,7 +153,7 @@ fn every_tail_lane_shape_matches_the_scalar_kernel() {
 
 #[test]
 fn clamp_residue_absorbs_tiny_negative_drift() {
-    // The kernel stores hold monotone cumulative rows by construction,
+    // The cumulative matrices hold monotone rows by construction,
     // but the counter-difference entry points (`split_score_cum`,
     // `interval_lower_bound_cum`) accept rows reconstructed from
     // independently accumulated sums, where `total − left` can drift a
@@ -225,17 +192,13 @@ fn gain_ratio_split_info_gate_yields_infinity_not_nan() {
     // 1.0 while the right side still clears the mass gate, driving
     // split_info within a few ulps of zero. Whatever side of zero each
     // kernel's arithmetic lands on, the answer must be +∞ or finite —
-    // never NaN — in every profile.
+    // never NaN — under either kernel.
     let xs = [0.0, 1.0, 2.0];
     let rows: [&[f64]; 3] = [&[1e17, 0.0], &[1e17, 0.5], &[1e17, 1.0]];
-    for profile in profiles() {
-        let ev = events(&xs, &rows, profile);
+    for kernel in KERNELS {
+        let ev = events(&xs, &rows, kernel);
         for (i, s) in scores(&ev, Measure::GainRatio).into_iter().enumerate() {
-            assert!(
-                !s.is_nan(),
-                "{}: candidate {i} produced NaN",
-                profile.label()
-            );
+            assert!(!s.is_nan(), "{kernel:?}: candidate {i} produced NaN");
         }
     }
 }

@@ -1,9 +1,8 @@
-//! Regression tests for zero-copy view partitioning: builds in
-//! [`PartitionMode::View`] must be **arena-bit-identical** to builds in
-//! [`PartitionMode::Owned`] — both modes reconstruct event masses as
-//! `root_mass * scale` in the same multiplication order — and the
-//! columnar engine must stay pinned to the checked-in naive baseline
-//! (bit-for-bit root scores, identical split structure).
+//! Regression tests for zero-copy view partitioning: work-queue builds
+//! must be **arena-bit-identical** to sequential builds over the same
+//! event-id views, and the columnar engine must stay pinned to the
+//! checked-in naive baseline (bit-for-bit root scores, identical split
+//! structure).
 //!
 //! The build environment is offline, so instead of `proptest` these use
 //! a seeded ChaCha8 generator with explicit case loops; every case is
@@ -19,7 +18,7 @@ use udt_prob::{DiscreteDist, SampledPdf};
 use udt_tree::baseline::{naive_build_splits, NaiveAttributeEvents, NaiveSearch};
 use udt_tree::events::AttributeEvents;
 use udt_tree::fractional::FractionalTuple;
-use udt_tree::{Algorithm, Measure, PartitionMode, TreeBuilder, UdtConfig};
+use udt_tree::{Algorithm, Measure, TreeBuilder, UdtConfig};
 
 const CASES: usize = 24;
 
@@ -70,15 +69,9 @@ fn random_mixed_dataset(rng: &mut ChaCha8Rng) -> Dataset {
     ds
 }
 
-fn build(
-    data: &Dataset,
-    algorithm: Algorithm,
-    mode: PartitionMode,
-    parallel: bool,
-) -> udt_tree::BuildReport {
+fn build(data: &Dataset, algorithm: Algorithm, parallel: bool) -> udt_tree::BuildReport {
     let mut config = UdtConfig::new(algorithm)
         .with_postprune(false)
-        .with_partition_mode(mode)
         .with_parallel_subtrees(parallel);
     if parallel {
         // Force real subtree jobs even on tiny trees.
@@ -92,67 +85,22 @@ fn build(
 }
 
 #[test]
-fn view_builds_are_arena_bit_identical_to_owned_builds() {
+fn work_queue_builds_are_arena_bit_identical_to_sequential_builds() {
     let mut rng = ChaCha8Rng::seed_from_u64(0x51EA);
     for case in 0..CASES {
         let data = random_mixed_dataset(&mut rng);
         for algorithm in [Algorithm::Udt, Algorithm::UdtEs] {
-            let owned = build(&data, algorithm, PartitionMode::Owned, false);
-            let view = build(&data, algorithm, PartitionMode::View, false);
+            let sequential = build(&data, algorithm, false);
+            // The work-queue build (drained inline at one thread, by pool
+            // workers otherwise) must agree with the plain recursion.
+            let queued = build(&data, algorithm, true);
             assert_eq!(
-                view.tree.flat(),
-                owned.tree.flat(),
-                "case {case}, {algorithm:?}: sequential view and owned arenas must be identical"
-            );
-            // The search visited exactly the same candidates in both
-            // modes — the pruning decisions were bit-identical too.
-            assert_eq!(
-                view.stats.entropy_like_calculations(),
-                owned.stats.entropy_like_calculations(),
-                "case {case}, {algorithm:?}"
-            );
-
-            // The work-queue build (inline drain without the `parallel`
-            // feature, scoped worker threads with it) must agree as well,
-            // in both modes.
-            let owned_par = build(&data, algorithm, PartitionMode::Owned, true);
-            let view_par = build(&data, algorithm, PartitionMode::View, true);
-            assert_eq!(
-                view_par.tree.flat(),
-                owned.tree.flat(),
-                "case {case}, {algorithm:?}: parallel view arena must match"
-            );
-            assert_eq!(
-                owned_par.tree.flat(),
-                owned.tree.flat(),
-                "case {case}, {algorithm:?}: parallel owned arena must match"
+                queued.tree.flat(),
+                sequential.tree.flat(),
+                "case {case}, {algorithm:?}: work-queue and sequential arenas must be identical"
             );
         }
     }
-}
-
-#[test]
-fn view_mode_moves_fewer_partition_bytes() {
-    // Aggregate over the random cases: the view representation must cut
-    // partition traffic substantially (each event id is 4 bytes against
-    // a 20-byte owned (x, tuple, mass) triple).
-    let mut rng = ChaCha8Rng::seed_from_u64(0xB17E);
-    let mut owned_bytes = 0u64;
-    let mut view_bytes = 0u64;
-    for _ in 0..CASES {
-        let data = random_mixed_dataset(&mut rng);
-        owned_bytes += build(&data, Algorithm::Udt, PartitionMode::Owned, false)
-            .stats
-            .partition_bytes;
-        view_bytes += build(&data, Algorithm::Udt, PartitionMode::View, false)
-            .stats
-            .partition_bytes;
-    }
-    assert!(owned_bytes > 0 && view_bytes > 0);
-    assert!(
-        view_bytes * 2 <= owned_bytes,
-        "view mode must at least halve partition traffic: {view_bytes} vs {owned_bytes}"
-    );
 }
 
 #[test]
@@ -187,10 +135,10 @@ fn both_modes_stay_pinned_to_the_naive_baseline() {
         }
 
         // On purely numerical datasets the full build makes the same
-        // split decisions as the naive recursive engine, whichever
-        // partition mode is in effect. (The naive baseline has no
-        // categorical path, so mixed datasets are covered by the
-        // view-vs-owned arena assertions instead.)
+        // split decisions as the naive recursive engine, sequential or
+        // through the work queue. (The naive baseline has no categorical
+        // path, so mixed datasets are covered by the work-queue arena
+        // assertions instead.)
         if data.schema().categorical_indices().is_empty() {
             let naive_splits = naive_build_splits(
                 &data,
@@ -200,10 +148,10 @@ fn both_modes_stay_pinned_to_the_naive_baseline() {
                 2.0,
                 1e-6,
             );
-            for mode in [PartitionMode::Owned, PartitionMode::View] {
-                let report = build(&data, Algorithm::Udt, mode, false);
+            for parallel in [false, true] {
+                let report = build(&data, Algorithm::Udt, parallel);
                 let splits = report.tree.size() - report.tree.n_leaves();
-                assert_eq!(splits, naive_splits, "case {case}, {mode:?}");
+                assert_eq!(splits, naive_splits, "case {case}, queue {parallel}");
             }
         }
     }

@@ -3,11 +3,11 @@
 //! Builds must be **arena-bit-identical** regardless of how the work is
 //! executed: for every thread count (1, 2, 4, 8) × fork depth (0 — every
 //! child of the root deferred; 2 — a realistic mid-tree cut; 64 — no
-//! forking at all within the depth cap) × partition mode (owned, view),
-//! the resulting [`FlatTree`] must equal, bit for bit, the reference
-//! build (single thread, work queue disabled entirely). The
-//! split-search counters must match too: no execution schedule may
-//! change *what* the search computed, only when and where.
+//! forking at all within the depth cap) × subtree mode (inline
+//! recursion, work queue), the resulting [`FlatTree`] must equal, bit
+//! for bit, the reference build (single thread, work queue disabled
+//! entirely). The split-search counters must match too: no execution
+//! schedule may change *what* the search computed, only when and where.
 //!
 //! Seeded ChaCha8 loops stand in for proptest (the build environment is
 //! offline), mirroring the other regression suites in this directory.
@@ -17,7 +17,7 @@ use rand_chacha::ChaCha8Rng;
 use udt_data::synthetic::SyntheticSpec;
 use udt_data::uncertainty::{inject_uncertainty, UncertaintySpec};
 use udt_data::Dataset;
-use udt_tree::{Algorithm, PartitionMode, TreeBuilder, UdtConfig};
+use udt_tree::{Algorithm, TreeBuilder, UdtConfig};
 
 fn seeded_dataset(seed: u64, tuples: usize, attributes: usize, s: usize) -> Dataset {
     let mut spec = SyntheticSpec::small(seed);
@@ -50,19 +50,19 @@ fn builds_are_bit_identical_across_thread_counts_forks_and_modes() {
             .build(&data)
             .unwrap();
             reference.tree.flat().validate().unwrap();
-            for mode in [PartitionMode::Owned, PartitionMode::View] {
+            for parallel_subtrees in [false, true] {
                 for fork_depth in [0usize, 2, 64] {
                     for threads in [1usize, 2, 4, 8] {
                         let report = TreeBuilder::new(
                             config(algorithm)
-                                .with_partition_mode(mode)
+                                .with_parallel_subtrees(parallel_subtrees)
                                 .with_parallel_cutoff_depth(fork_depth)
                                 .with_threads(threads),
                         )
                         .build(&data)
                         .unwrap();
                         let label = format!(
-                            "{algorithm:?} seed {seed:#x} mode {mode:?} \
+                            "{algorithm:?} seed {seed:#x} queue {parallel_subtrees} \
                              fork {fork_depth} threads {threads}"
                         );
                         assert_eq!(

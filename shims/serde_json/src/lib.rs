@@ -6,8 +6,19 @@
 //! [`Error`] re-exports. Numbers are parsed as `f64`; floats print with
 //! Rust's shortest round-trip formatting so persisted trees reload
 //! bit-for-bit.
+//!
+//! The parser is recursive, so it caps container nesting at
+//! [`MAX_DEPTH`]: deeper input is a typed [`Error`], never a stack
+//! overflow, whatever the caller's stack size.
 
 pub use serde::Value;
+
+/// The deepest container nesting [`from_str`] accepts: a value with
+/// `MAX_DEPTH` nested arrays/objects parses, one more level is an error.
+/// Protocol values nest a handful of levels; legacy boxed models nest
+/// two levels per tree level, so trees up to ~125 levels deep still
+/// load (the builder's default depth cap is 25).
+pub const MAX_DEPTH: usize = 256;
 
 use serde::{Deserialize, Serialize};
 
@@ -60,6 +71,7 @@ pub fn from_str<T: Deserialize>(text: &str) -> Result<T, Error> {
     let mut parser = Parser {
         bytes: text.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     let value = parser.parse_value()?;
     parser.skip_ws();
@@ -174,6 +186,8 @@ fn write_string(s: &str, out: &mut String) {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Containers open around the current position.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -219,58 +233,77 @@ impl Parser<'_> {
             Some(b't') if self.eat_literal("true") => Ok(Value::Bool(true)),
             Some(b'f') if self.eat_literal("false") => Ok(Value::Bool(false)),
             Some(b'"') => self.parse_string().map(Value::Str),
-            Some(b'[') => {
+            Some(open @ (b'[' | b'{')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(Error::new(format!(
+                        "nesting deeper than {MAX_DEPTH} levels at byte {}",
+                        self.pos
+                    )));
+                }
+                self.depth += 1;
                 self.pos += 1;
-                let mut items = Vec::new();
-                self.skip_ws();
-                if self.peek() == Some(b']') {
-                    self.pos += 1;
-                    return Ok(Value::Seq(items));
-                }
-                loop {
-                    items.push(self.parse_value()?);
-                    self.skip_ws();
-                    match self.peek() {
-                        Some(b',') => self.pos += 1,
-                        Some(b']') => {
-                            self.pos += 1;
-                            return Ok(Value::Seq(items));
-                        }
-                        _ => return Err(Error::new(format!("bad array at byte {}", self.pos))),
-                    }
-                }
-            }
-            Some(b'{') => {
-                self.pos += 1;
-                let mut entries = Vec::new();
-                self.skip_ws();
-                if self.peek() == Some(b'}') {
-                    self.pos += 1;
-                    return Ok(Value::Map(entries));
-                }
-                loop {
-                    self.skip_ws();
-                    let key = self.parse_string()?;
-                    self.skip_ws();
-                    self.expect(b':')?;
-                    let value = self.parse_value()?;
-                    entries.push((key, value));
-                    self.skip_ws();
-                    match self.peek() {
-                        Some(b',') => self.pos += 1,
-                        Some(b'}') => {
-                            self.pos += 1;
-                            return Ok(Value::Map(entries));
-                        }
-                        _ => return Err(Error::new(format!("bad object at byte {}", self.pos))),
-                    }
-                }
+                let value = if open == b'[' {
+                    self.parse_array()
+                } else {
+                    self.parse_object()
+                };
+                self.depth -= 1;
+                value
             }
             Some(b) if b == b'-' || b.is_ascii_digit() => self.parse_number(),
             other => Err(Error::new(format!(
                 "unexpected input {other:?} at byte {}",
                 self.pos
             ))),
+        }
+    }
+
+    /// The rest of an array whose `[` was consumed.
+    fn parse_array(&mut self) -> Result<Value, Error> {
+        let mut items = Vec::new();
+        self.skip_ws();
+        if self.peek() == Some(b']') {
+            self.pos += 1;
+            return Ok(Value::Seq(items));
+        }
+        loop {
+            items.push(self.parse_value()?);
+            self.skip_ws();
+            match self.peek() {
+                Some(b',') => self.pos += 1,
+                Some(b']') => {
+                    self.pos += 1;
+                    return Ok(Value::Seq(items));
+                }
+                _ => return Err(Error::new(format!("bad array at byte {}", self.pos))),
+            }
+        }
+    }
+
+    /// The rest of an object whose `{` was consumed.
+    fn parse_object(&mut self) -> Result<Value, Error> {
+        let mut entries = Vec::new();
+        self.skip_ws();
+        if self.peek() == Some(b'}') {
+            self.pos += 1;
+            return Ok(Value::Map(entries));
+        }
+        loop {
+            self.skip_ws();
+            let key = self.parse_string()?;
+            self.skip_ws();
+            self.expect(b':')?;
+            let value = self.parse_value()?;
+            entries.push((key, value));
+            self.skip_ws();
+            match self.peek() {
+                Some(b',') => self.pos += 1,
+                Some(b'}') => {
+                    self.pos += 1;
+                    return Ok(Value::Map(entries));
+                }
+                _ => return Err(Error::new(format!("bad object at byte {}", self.pos))),
+            }
         }
     }
 
@@ -396,6 +429,19 @@ mod tests {
             let back: f64 = from_str(&s).unwrap();
             assert_eq!(back.to_bits(), x.to_bits(), "{x} -> {s}");
         }
+    }
+
+    #[test]
+    fn nesting_is_capped_at_max_depth() {
+        let nested = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
+        assert!(from_str::<Value>(&nested(MAX_DEPTH)).is_ok());
+        let err = from_str::<Value>(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.to_string().contains("nesting"), "{err}");
+        let objects = "{\"a\":".repeat(MAX_DEPTH + 1) + "1" + &"}".repeat(MAX_DEPTH + 1);
+        assert!(from_str::<Value>(&objects).is_err());
+        // Siblings do not accumulate depth.
+        let wide = format!("[{}]", vec![nested(MAX_DEPTH - 1); 3].join(","));
+        assert!(from_str::<Value>(&wide).is_ok());
     }
 
     #[test]
